@@ -137,6 +137,26 @@ func BenchmarkFaultSimulationC1908(b *testing.B) {
 	}
 }
 
+// BenchmarkFaultDropC1908 times the shape of the ATPG loop's fault
+// dropping: one vector simulated against the full collapsed fault list.
+// The only allocation per operation is Detect's result slice.
+func BenchmarkFaultDropC1908(b *testing.B) {
+	c := iscas.MustBenchmark("c1908")
+	sim := faults.NewSimulator(c)
+	fs := faults.Collapse(c)
+	v := make(faults.Vector, len(c.Inputs()))
+	for j := range v {
+		v[j] = j%3 == 0
+	}
+	vectors := []faults.Vector{v}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sim.Detect(vectors, fs)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(fs)), "ns/fault")
+}
+
 // BenchmarkAnalogACSolve times one MNA AC solution of the Chebyshev
 // filter, the unit operation behind every analog measurement.
 func BenchmarkAnalogACSolve(b *testing.B) {

@@ -323,8 +323,7 @@ func runSharded(c *logic.Circuit, fs []faults.Fault, cfg runConfig, workers int)
 	// applyBatch is the bounded cross-shard vector exchange: the batch of
 	// discovered vectors (in deterministic shard order) is broadcast to
 	// every shard, each shard fault-simulates it against its own pending
-	// faults concurrently — fault simulation is the run's dominant cost,
-	// and this is the axis it parallelises on — and the coordinator then
+	// faults concurrently, and the coordinator then
 	// commits the detections serially in shard-id, fault-index order.
 	// Each detection is credited to the first vector in batch order, so
 	// the outcome is a pure function of the inputs, independent of

@@ -9,7 +9,11 @@ import "repro/internal/logic"
 // NOT/BUF primitives a test set detecting all checkpoint faults detects
 // every single stuck-at fault: each internal line lies on a fanout-free
 // path from a checkpoint along which its faults dominate (or are
-// equivalent to) checkpoint faults. With XOR/XNOR primitives the theorem
+// equivalent to) checkpoint faults. The premise is that every checkpoint
+// fault is detected. When some checkpoint fault is redundant, a set
+// detecting all the detectable ones can miss a detectable internal
+// fault, so the list must then be topped up by fault simulation against
+// the full universe as well. With XOR/XNOR primitives the theorem
 // does not hold in general — a detected XOR-input fault does not imply a
 // sensitised output value — so for XOR-rich circuits the list is a
 // targeting heuristic to be topped up by fault simulation against the

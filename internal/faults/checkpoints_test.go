@@ -25,55 +25,88 @@ func TestCheckpointsOfAdder(t *testing.T) {
 	}
 }
 
+// checkpointSubset returns the exhaustive vector set of c, the vectors
+// of it that are the first to detect some checkpoint fault, and whether
+// every checkpoint fault is detected at all.
+func checkpointSubset(sim *Simulator, c *logic.Circuit) (vectors, subset []Vector, allDetected bool) {
+	vectors = exhaustiveVectors(len(c.Inputs()))
+	keep := map[int]bool{}
+	allDetected = true
+	for _, d := range sim.Detect(vectors, Checkpoints(c)) {
+		if d >= 0 {
+			keep[d] = true
+		} else {
+			allDetected = false
+		}
+	}
+	for i := range vectors {
+		if keep[i] {
+			subset = append(subset, vectors[i])
+		}
+	}
+	return vectors, subset, allDetected
+}
+
+// The checkpoint theorem: for AND/OR/NAND/NOR/NOT circuits, a test set
+// that detects every checkpoint fault detects every single stuck-at
+// fault. The implication is applied only where its premise holds, i.e.
+// where the exhaustive set detects every checkpoint fault; circuits with
+// a redundant checkpoint fault are TestCheckpointTheoremNeedsEveryCheckpoint's
+// subject.
 func TestCheckpointTheoremOnAndOrCircuits(t *testing.T) {
-	// For AND/OR/NOT circuits, detecting every checkpoint fault detects
-	// every collapsed fault.
+	applied := 0
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		c := randNonXorCircuit(r)
+		c := randObservableNonXorCircuit(r)
 		sim := NewSimulator(c)
-		// Exhaustive vectors (small input counts).
-		n := len(c.Inputs())
-		if n > 10 {
+		_, subset, allDetected := checkpointSubset(sim, c)
+		if !allDetected {
 			return true
 		}
-		var vectors []Vector
-		for p := 0; p < 1<<uint(n); p++ {
-			v := make(Vector, n)
-			for j := range v {
-				v[j] = p&(1<<uint(j)) != 0
-			}
-			vectors = append(vectors, v)
-		}
-		cps := Checkpoints(c)
-		all := Collapse(c)
-		// Find the vectors that together detect all detectable
-		// checkpoint faults; then verify they detect every detectable
-		// collapsed fault.
-		det := sim.Detect(vectors, cps)
-		keep := map[int]bool{}
-		for _, d := range det {
-			if d >= 0 {
-				keep[d] = true
-			}
-		}
-		var subset []Vector
-		for i := range vectors {
-			if keep[i] {
-				subset = append(subset, vectors[i])
-			}
-		}
-		detAll := sim.Detect(vectors, all) // which faults are detectable at all
-		detSub := sim.Detect(subset, all)
-		for i := range all {
-			if detAll[i] >= 0 && detSub[i] < 0 {
-				return false // checkpoint set missed a detectable fault
+		applied++
+		for _, d := range sim.Detect(subset, Collapse(c)) {
+			if d < 0 {
+				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+	cfg := &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(1))}
+	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
+	}
+	if applied == 0 {
+		t.Error("no generated circuit had every checkpoint fault detectable; the property was never applied")
+	}
+}
+
+// TestCheckpointTheoremNeedsEveryCheckpoint pins down the theorem's
+// premise on a redundant circuit. h = AND(NOR(b, c), c) is constantly 0,
+// which makes several checkpoint faults (both polarities on b, among
+// others) undetectable. The vectors that detect every detectable
+// checkpoint fault then miss g s-a-1, which only b = c = 1 detects.
+func TestCheckpointTheoremNeedsEveryCheckpoint(t *testing.T) {
+	c := logic.New("redundant")
+	c.AddInput("b")
+	c.AddInput("c")
+	c.AddGate("g", logic.TypeNor, "b", "c")
+	c.AddGate("h", logic.TypeAnd, "g", "c")
+	c.AddGate("y1", logic.TypeNand, "b", "h")
+	c.AddGate("y2", logic.TypeOr, "c", "h")
+	c.MarkOutput("y1")
+	c.MarkOutput("y2")
+	c.MustFreeze()
+	sim := NewSimulator(c)
+	vectors, subset, allDetected := checkpointSubset(sim, c)
+	if allDetected {
+		t.Fatal("the circuit must have an undetectable checkpoint fault")
+	}
+	gSA1 := Fault{Signal: c.MustSig("g"), Consumer: -1, Value: true}
+	if d := sim.Detect(vectors, []Fault{gSA1})[0]; d < 0 || vectors[d].String() != "11" {
+		t.Fatalf("g s-a-1: exhaustive set detects it first at %d, want vector 11", d)
+	}
+	if d := sim.Detect(subset, []Fault{gSA1})[0]; d >= 0 {
+		t.Errorf("checkpoint vectors %v detect g s-a-1; the redundant circuit no longer shows the limitation", subset)
 	}
 }
 
@@ -114,5 +147,59 @@ func randNonXorCircuit(r *rand.Rand) *logic.Circuit {
 	}
 	c.MarkOutput(names[len(names)-1])
 	c.MarkOutput(names[len(names)-2])
+	return c.MustFreeze()
+}
+
+// randObservableNonXorCircuit builds a random AND/OR/NAND/NOR/NOT circuit
+// with every primary input used and every signal without a consumer
+// marked as an output, so no fault is undetectable merely because its
+// logic is unobserved.
+func randObservableNonXorCircuit(r *rand.Rand) *logic.Circuit {
+	c := logic.New("obs")
+	var names []string
+	used := map[string]bool{}
+	nIn := 3 + r.Intn(5)
+	for i := 0; i < nIn; i++ {
+		n := "i" + strings.Repeat("i", i)
+		c.AddInput(n)
+		names = append(names, n)
+	}
+	// pick prefers, half the time, a signal nothing consumes yet.
+	pick := func() string {
+		var unused []string
+		for _, n := range names {
+			if !used[n] {
+				unused = append(unused, n)
+			}
+		}
+		if len(unused) > 0 && r.Intn(2) == 0 {
+			return unused[r.Intn(len(unused))]
+		}
+		return names[r.Intn(len(names))]
+	}
+	types := []logic.GateType{logic.TypeAnd, logic.TypeNand, logic.TypeOr, logic.TypeNor, logic.TypeNot}
+	nG := 4 + r.Intn(12)
+	for g := 0; g < nG; g++ {
+		ty := types[r.Intn(len(types))]
+		fanins := []string{pick()}
+		if ty != logic.TypeNot {
+			b := pick()
+			for b == fanins[0] {
+				b = names[r.Intn(len(names))]
+			}
+			fanins = append(fanins, b)
+		}
+		for _, f := range fanins {
+			used[f] = true
+		}
+		gn := "g" + strings.Repeat("g", g)
+		c.AddGate(gn, ty, fanins...)
+		names = append(names, gn)
+	}
+	for _, n := range names {
+		if !used[n] {
+			c.MarkOutput(n)
+		}
+	}
 	return c.MustFreeze()
 }

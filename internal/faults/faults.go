@@ -1,7 +1,7 @@
 // Package faults implements the single stuck-at fault model over gate-
 // level circuits: fault-universe enumeration (stems and fanout branches),
-// structural equivalence collapsing, and bit-parallel fault simulation
-// with fault dropping.
+// structural equivalence collapsing, and parallel-pattern single-fault
+// (PPSFP) fault simulation with fault dropping.
 //
 // The paper's digital experiments count "uncollapsed" faults (two per
 // line, as in Example 2's 18 faults) and "collapsed" faults (Table 4);
@@ -102,7 +102,9 @@ func Stems(c *logic.Circuit) []Fault {
 //   - NOT/BUF: input s-a-v ≡ output s-a-(v ⊕ inverted) for both v
 //
 // The "input line" of a gate is the fanout branch when the source signal
-// has more than one consumer, otherwise the stem.
+// has more than one consumer, otherwise the stem. A stem that is also a
+// primary output is never merged into its consumer, since its faults are
+// observed at that output directly.
 func Collapse(c *logic.Circuit) []Fault {
 	universe := All(c)
 	index := make(map[Fault]int, len(universe))
@@ -130,12 +132,19 @@ func Collapse(c *logic.Circuit) []Fault {
 			parent[rb] = ra
 		}
 	}
-	// inputLine returns the fault site of fanin f as seen by gate g.
-	inputLine := func(f, g logic.SigID) line {
+	isOut := make([]bool, c.NumSignals())
+	for _, id := range c.Outputs() {
+		isOut[id] = true
+	}
+	// inputLine returns the fault site of fanin f as seen by gate g, and
+	// false when that site is a primary output's stem: a fault there is
+	// observed at the output directly, so it is equivalent to no fault
+	// of g.
+	inputLine := func(f, g logic.SigID) (line, bool) {
 		if len(c.Signal(f).Fanout) > 1 {
-			return line{sig: f, consumer: g}
+			return line{sig: f, consumer: g}, true
 		}
-		return line{sig: f, consumer: -1}
+		return line{sig: f, consumer: -1}, !isOut[f]
 	}
 	for id := 0; id < c.NumSignals(); id++ {
 		gid := logic.SigID(id)
@@ -146,7 +155,10 @@ func Collapse(c *logic.Circuit) []Fault {
 		inv := s.Type.Inverting()
 		switch s.Type {
 		case logic.TypeNot, logic.TypeBuf:
-			in := inputLine(s.Fanin[0], gid)
+			in, ok := inputLine(s.Fanin[0], gid)
+			if !ok {
+				continue
+			}
 			for _, v := range []bool{false, true} {
 				fi := Fault{Signal: in.sig, Consumer: in.consumer, Value: v}
 				fo := Fault{Signal: gid, Consumer: -1, Value: v != inv}
@@ -160,7 +172,10 @@ func Collapse(c *logic.Circuit) []Fault {
 			outVal := cv != inv
 			fo := Fault{Signal: gid, Consumer: -1, Value: outVal}
 			for _, f := range s.Fanin {
-				in := inputLine(f, gid)
+				in, ok := inputLine(f, gid)
+				if !ok {
+					continue
+				}
 				fi := Fault{Signal: in.sig, Consumer: in.consumer, Value: cv}
 				union(index[fi], index[fo])
 			}

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/logic"
 	"repro/internal/obs"
@@ -9,11 +10,13 @@ import (
 
 // Simulation counters, resolved once against the process-wide collector.
 // A "batch" is one 64-vector-wide parallel pass over the pending fault
-// list — the unit of fault-simulation work.
+// list — the unit of fault-simulation work; "evals" counts the gates
+// re-evaluated inside fault cones.
 var (
 	cSimCalls    = obs.Default.Counter("faults.sim.calls")
 	cSimBatches  = obs.Default.Counter("faults.sim.batches")
 	cSimDetected = obs.Default.Counter("faults.sim.detected")
+	cSimEvals    = obs.Default.Counter("faults.sim.evals")
 )
 
 // Vector is one fully specified input pattern, aligned with the circuit's
@@ -52,9 +55,17 @@ func (v Vector) String() string {
 	return string(buf)
 }
 
-// Simulator runs bit-parallel fault simulation over one circuit.
+// Simulator runs parallel-pattern single-fault (PPSFP) simulation over
+// one circuit: for each batch of 64 vectors the good circuit is
+// simulated once, and each fault then re-evaluates only its own fanout
+// cone (see logic.FaultSim).
+//
+// A Simulator owns reusable scratch state and is not safe for concurrent
+// use; give each goroutine its own.
 type Simulator struct {
-	c *logic.Circuit
+	k         *logic.FaultSim
+	words     []uint64 // packed input words of the current batch
+	remaining []int    // fault indices still undetected
 }
 
 // NewSimulator creates a fault simulator for the (frozen) circuit.
@@ -63,26 +74,32 @@ func NewSimulator(c *logic.Circuit) *Simulator {
 		//lint:allow nopanic API misuse: the circuit must be frozen before simulation
 		panic(fmt.Sprintf("faults: circuit %q must be frozen", c.Name))
 	}
-	return &Simulator{c: c}
+	return &Simulator{k: logic.NewFaultSim(c), words: make([]uint64, len(c.Inputs()))}
 }
 
-// packWords packs up to 64 vectors starting at base into per-input words.
-func (s *Simulator) packWords(vectors []Vector, base int) ([]uint64, int) {
-	nIn := len(s.c.Inputs())
-	words := make([]uint64, nIn)
-	n := len(vectors) - base
-	if n > 64 {
-		n = 64
+// load packs up to 64 vectors starting at base into per-input words,
+// simulates the good circuit on them, and returns the mask of lanes in
+// use. Unused lanes repeat the batch's first vector, so a fault active
+// only in them never costs a cone evaluation.
+func (s *Simulator) load(vectors []Vector, base int) uint64 {
+	n := min(len(vectors)-base, 64)
+	mask := ^uint64(0)
+	if n < 64 {
+		mask = (uint64(1) << uint(n)) - 1
 	}
-	for p := 0; p < n; p++ {
-		v := vectors[base+p]
-		for i := 0; i < nIn; i++ {
-			if v[i] {
-				words[i] |= 1 << uint(p)
+	for i := range s.words {
+		s.words[i] = 0
+		if vectors[base][i] {
+			s.words[i] = ^mask
+		}
+		for p := 0; p < n; p++ {
+			if vectors[base+p][i] {
+				s.words[i] |= 1 << uint(p)
 			}
 		}
 	}
-	return words, n
+	s.k.Load(s.words)
+	return mask
 }
 
 // Detect simulates the vectors against the fault list and returns, for
@@ -91,44 +108,32 @@ func (s *Simulator) packWords(vectors []Vector, base int) ([]uint64, int) {
 func (s *Simulator) Detect(vectors []Vector, fs []Fault) []int {
 	cSimCalls.Inc()
 	res := make([]int, len(fs))
+	remaining := s.remaining[:0]
 	for i := range res {
 		res[i] = -1
+		remaining = append(remaining, i)
 	}
-	remaining := make([]int, len(fs))
-	for i := range fs {
-		remaining[i] = i
-	}
+	evals, detected := 0, 0
 	for base := 0; base < len(vectors) && len(remaining) > 0; base += 64 {
 		cSimBatches.Inc()
-		words, n := s.packWords(vectors, base)
-		mask := ^uint64(0)
-		if n < 64 {
-			mask = (uint64(1) << uint(n)) - 1
-		}
-		good := s.c.OutputWords(s.c.SimWords(words))
+		mask := s.load(vectors, base)
 		next := remaining[:0]
 		for _, fi := range remaining {
-			f := fs[fi]
-			bad := s.c.OutputWords(s.c.SimWordsFaulty(words, f.Override()))
-			var diff uint64
-			for o := range good {
-				diff |= (good[o] ^ bad[o]) & mask
-			}
-			if diff != 0 {
-				cSimDetected.Inc()
+			diff, n := s.k.Simulate(fs[fi].Override(), nil)
+			evals += n
+			if diff &= mask; diff != 0 {
+				detected++
 				// Lowest set bit = first detecting vector in this batch.
-				bit := 0
-				for diff&1 == 0 {
-					diff >>= 1
-					bit++
-				}
-				res[fi] = base + bit
+				res[fi] = base + bits.TrailingZeros64(diff)
 			} else {
 				next = append(next, fi)
 			}
 		}
 		remaining = next
 	}
+	s.remaining = remaining
+	cSimDetected.Add(int64(detected))
+	cSimEvals.Add(int64(evals))
 	return res
 }
 
@@ -147,5 +152,5 @@ func (s *Simulator) Coverage(vectors []Vector, fs []Fault) int {
 
 // DetectsFault reports whether the single vector detects the single fault.
 func (s *Simulator) DetectsFault(v Vector, f Fault) bool {
-	return s.c.Detects(v.Assignment(s.c), f.Override())
+	return s.Detect([]Vector{v}, []Fault{f})[0] >= 0
 }

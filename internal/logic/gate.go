@@ -1,6 +1,7 @@
 // Package logic provides the gate-level combinational netlist substrate:
 // circuit construction, ISCAS ".bench" parsing and writing, levelization,
-// and 64-pattern bit-parallel simulation with per-line fault overrides.
+// 64-pattern bit-parallel simulation with per-line fault overrides, and
+// a cone-limited PPSFP fault-simulation kernel (FaultSim).
 //
 // A circuit is a DAG of named signals. Each signal is either a primary
 // input or the output of one gate. A "line" in the stuck-at fault model is

@@ -34,14 +34,23 @@ func (c *Circuit) SimWords(inWords []uint64) []uint64 {
 	return c.SimWordsFaulty(inWords, NoOverride)
 }
 
-// SimWordsFaulty is SimWords with a single stuck-at line override.
+// SimWordsFaulty is SimWords with a single stuck-at line override. It
+// re-simulates the whole circuit; FaultSim is the fast path for many
+// faults over one batch, and this is its reference.
 func (c *Circuit) SimWordsFaulty(inWords []uint64, ov Override) []uint64 {
+	val := make([]uint64, len(c.signals))
+	c.simInto(val, inWords, ov, nil)
+	return val
+}
+
+// simInto simulates the whole circuit under ov into val (one word per
+// signal) and returns faninBuf, grown as needed, for reuse.
+func (c *Circuit) simInto(val, inWords []uint64, ov Override, faninBuf []uint64) []uint64 {
 	c.mustBeFrozen()
 	if len(inWords) != len(c.inputs) {
 		//lint:allow nopanic input word count mismatch is a caller bug
 		panic(fmt.Sprintf("logic: SimWords: %d input words for %d inputs", len(inWords), len(c.inputs)))
 	}
-	val := make([]uint64, len(c.signals))
 	for i, id := range c.inputs {
 		val[id] = inWords[i]
 	}
@@ -52,7 +61,6 @@ func (c *Circuit) SimWordsFaulty(inWords []uint64, ov Override) []uint64 {
 			val[ov.Signal] = ov.word()
 		}
 	}
-	var faninBuf []uint64
 	for _, id := range c.order {
 		s := &c.signals[id]
 		faninBuf = faninBuf[:0]
@@ -69,7 +77,7 @@ func (c *Circuit) SimWordsFaulty(inWords []uint64, ov Override) []uint64 {
 		}
 		val[id] = v
 	}
-	return val
+	return faninBuf
 }
 
 // OutputWords extracts the primary-output words from a SimWords result.
@@ -108,24 +116,4 @@ func (c *Circuit) EvalOutputs(assign map[string]bool) []bool {
 		out[i] = vals[c.signals[id].Name]
 	}
 	return out
-}
-
-// Detects reports whether the given single pattern (bit 0 of each input
-// word) distinguishes the faulty circuit from the good one at any primary
-// output.
-func (c *Circuit) Detects(assign map[string]bool, ov Override) bool {
-	in := make([]uint64, len(c.inputs))
-	for i, id := range c.inputs {
-		if assign[c.signals[id].Name] {
-			in[i] = 1
-		}
-	}
-	good := c.OutputWords(c.SimWords(in))
-	bad := c.OutputWords(c.SimWordsFaulty(in, ov))
-	for i := range good {
-		if (good[i]^bad[i])&1 != 0 {
-			return true
-		}
-	}
-	return false
 }
