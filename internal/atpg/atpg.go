@@ -225,7 +225,13 @@ func (g *Generator) FaultyOutputs(f faults.Fault) map[logic.SigID]bdd.Ref {
 func (g *Generator) TestFunction(f faults.Fault) bdd.Ref {
 	fo := g.FaultyOutputs(f)
 	s := bdd.False
-	for o, fv := range fo {
+	// Fold in output order, not map order: S is canonical either way,
+	// but the intermediate nodes and the early exit would not repeat.
+	for _, o := range g.c.Outputs() {
+		fv, ok := fo[o]
+		if !ok {
+			continue
+		}
 		diff := g.m.Xor(g.good[o], fv)
 		s = g.m.Or(s, g.m.And(g.constraint, diff))
 		if s == g.constraint && g.constraint != bdd.False {

@@ -77,7 +77,11 @@ func (g *Generator) FaultyOutputsSet(fs []faults.Fault) map[logic.SigID]bdd.Ref 
 func (g *Generator) TestFunctionSet(fs []faults.Fault) bdd.Ref {
 	fo := g.FaultyOutputsSet(fs)
 	s := bdd.False
-	for o, fv := range fo {
+	for _, o := range g.c.Outputs() {
+		fv, ok := fo[o]
+		if !ok {
+			continue
+		}
 		diff := g.m.Xor(g.good[o], fv)
 		s = g.m.Or(s, g.m.And(g.constraint, diff))
 		if s == g.constraint && g.constraint != bdd.False {

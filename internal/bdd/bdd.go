@@ -1,6 +1,16 @@
 // Package bdd implements reduced ordered binary decision diagrams (OBDDs)
 // with a hash-consed unique table and a memoized ITE operator.
 //
+// The tables follow the classic CUDD/BuDDy layout. The unique table is
+// exact: every node carries a chain link, and a power-of-two array of
+// bucket heads indexes the node arena. The computed table (the memo of
+// ITE, Restrict and Exists) is direct-mapped and lossy: a colliding
+// store overwrites its slot. It grows with the unique table up to a
+// fixed cap, so a manager's memory is its node arena plus a constant.
+// Because nodes are never freed, an evicted result is recomputed through
+// unique-table hits alone: eviction costs time, never nodes, and every
+// Ref is the same as with an unbounded memo.
+//
 // It provides the algebraic machinery the paper's test generator is built
 // on: boolean combination of line functions, the boolean difference
 // (computed as an XOR of good/faulty functions), constraint-function
@@ -35,22 +45,35 @@ const (
 
 const terminalLevel = int32(1) << 30
 
-// node is one decision node: if var(level) then hi else lo.
+// node is one decision node: if var(level) then hi else lo. next links
+// the node into its unique-table bucket chain; 0 ends a chain, since the
+// terminal False is never a decision node.
 type node struct {
 	level int32
 	lo    Ref
 	hi    Ref
+	next  Ref
 }
 
-type opKey struct {
-	op      uint8
-	f, g, h Ref
+// cacheEntry is one computed-table slot. tag is the op plus one, so the
+// zero value is an empty slot.
+type cacheEntry struct {
+	tag        uint32
+	f, g, h, r Ref
 }
 
 const (
-	opITE uint8 = iota
+	opITE uint32 = iota
 	opExists
 	opRestrict
+)
+
+const (
+	// initTableSize is the starting size of the bucket array and of the
+	// computed table.
+	initTableSize = 1 << 10
+	// maxCacheSize caps the computed table at 1 Mi slots (20 MB).
+	maxCacheSize = 1 << 20
 )
 
 // LimitError is the panic value raised when a Manager exceeds its node
@@ -84,11 +107,14 @@ func (e *CancelError) Unwrap() error { return e.Cause }
 // Manager owns the unique table, the operation cache and the variable
 // order of a family of BDDs.
 type Manager struct {
-	vars     []string
-	varIdx   map[string]int
-	nodes    []node
-	unique   map[node]Ref
-	cache    map[opKey]Ref
+	vars    []string
+	varIdx  map[string]int
+	nodes   []node
+	buckets []Ref // unique-table chain heads, indexed by hashNode
+	cache   []cacheEntry
+	// cacheMax caps len(cache): maxCacheSize, except in tests that
+	// shrink the computed table to force collisions.
+	cacheMax int
 	limit    int
 	peakSize int
 	met      metrics
@@ -127,14 +153,17 @@ type metrics struct {
 // managers sharing a collector accumulate into the same metrics:
 //
 //	bdd.unique.hit / bdd.unique.miss    unique-table (hash-cons) lookups
-//	bdd.ite.hit / bdd.ite.miss          ITE operation-cache lookups
-//	bdd.exists.hit / bdd.exists.miss    Exists operation-cache lookups
-//	bdd.restrict.hit / bdd.restrict.miss  Restrict/Compose cache lookups
+//	bdd.ite.hit / bdd.ite.miss          ITE computed-table lookups
+//	bdd.exists.hit / bdd.exists.miss    Exists computed-table lookups
+//	bdd.restrict.hit / bdd.restrict.miss  Restrict/Compose computed-table lookups
 //	bdd.nodes.alloc                     decision nodes allocated
 //	bdd.limit.trips                     LimitError guard trips
 //	bdd.budget.trips                    per-work-item node-budget trips
 //	bdd.cancels                         constructions aborted by context
 //	bdd.nodes.peak (gauge)              largest arena observed
+//
+// The computed table is lossy, so its hit counters count hits on results
+// that survived eviction; a miss on an evicted result is recomputed.
 //
 // Budget trips and cancels additionally emit a structured "bdd.trip"
 // event on the collector (they are rare — at most one per work item),
@@ -173,10 +202,11 @@ func New() *Manager { return NewWithLimit(DefaultNodeLimit) }
 // once its arena holds more than limit nodes.
 func NewWithLimit(limit int) *Manager {
 	m := &Manager{
-		varIdx: map[string]int{},
-		unique: map[node]Ref{},
-		cache:  map[opKey]Ref{},
-		limit:  limit,
+		varIdx:   map[string]int{},
+		buckets:  make([]Ref, initTableSize),
+		cache:    make([]cacheEntry, initTableSize),
+		cacheMax: maxCacheSize,
+		limit:    limit,
 	}
 	// Terminal nodes occupy slots 0 and 1.
 	m.nodes = append(m.nodes,
@@ -293,16 +323,38 @@ func (m *Manager) checkGuards() {
 	}
 }
 
+// Multiplicative hashing constants (odd 64-bit mixers); the high half
+// of the mixed product indexes a power-of-two table.
+const (
+	hashP1 = 0x9E3779B97F4A7C15
+	hashP2 = 0xC2B2AE3D27D4EB4F
+	hashP3 = 0x165667B19E3779F9
+)
+
+// hashNode hashes a node triple into a table of mask+1 slots.
+func hashNode(level int32, lo, hi Ref, mask uint32) uint32 {
+	h := (uint64(uint32(lo))*hashP1+uint64(uint32(hi)))*hashP2 + uint64(uint32(level))*hashP3
+	return uint32(h>>32) & mask
+}
+
+// hashOp hashes a computed-table key into a table of mask+1 slots.
+func hashOp(tag uint32, f, g, h Ref, mask uint32) uint32 {
+	x := ((uint64(uint32(f))*hashP1+uint64(uint32(g)))*hashP2+uint64(uint32(h)))*hashP3 + uint64(tag)
+	return uint32(x>>32) & mask
+}
+
 // mk returns the canonical node (level, lo, hi), applying the reduction
 // rules (no redundant tests, hash consing).
 func (m *Manager) mk(level int32, lo, hi Ref) Ref {
 	if lo == hi {
 		return lo
 	}
-	key := node{level: level, lo: lo, hi: hi}
-	if r, ok := m.unique[key]; ok {
-		m.met.uniqueHit.Inc()
-		return r
+	b := hashNode(level, lo, hi, uint32(len(m.buckets)-1))
+	for r := m.buckets[b]; r != 0; r = m.nodes[r].next {
+		if n := &m.nodes[r]; n.level == level && n.lo == lo && n.hi == hi {
+			m.met.uniqueHit.Inc()
+			return r
+		}
 	}
 	m.met.uniqueMiss.Inc()
 	m.checkGuards()
@@ -311,14 +363,57 @@ func (m *Manager) mk(level int32, lo, hi Ref) Ref {
 		panic(&LimitError{Limit: m.limit})
 	}
 	r := Ref(len(m.nodes))
-	m.nodes = append(m.nodes, key)
-	m.unique[key] = r
+	m.nodes = append(m.nodes, node{level: level, lo: lo, hi: hi, next: m.buckets[b]})
+	m.buckets[b] = r
 	m.met.nodesAlloc.Inc()
 	if len(m.nodes) > m.peakSize {
 		m.peakSize = len(m.nodes)
 		m.met.peakNodes.SetMax(int64(m.peakSize))
 	}
+	if len(m.nodes) > len(m.buckets) {
+		m.grow()
+	}
 	return r
+}
+
+// grow doubles the bucket array, relinks every decision node from the
+// arena, and doubles the computed table along with it up to cacheMax.
+func (m *Manager) grow() {
+	m.buckets = make([]Ref, 2*len(m.buckets))
+	mask := uint32(len(m.buckets) - 1)
+	for r := 2; r < len(m.nodes); r++ {
+		n := &m.nodes[r]
+		b := hashNode(n.level, n.lo, n.hi, mask)
+		n.next = m.buckets[b]
+		m.buckets[b] = Ref(r)
+	}
+	if len(m.cache) >= m.cacheMax {
+		return
+	}
+	old := m.cache
+	m.cache = make([]cacheEntry, min(2*len(old), m.cacheMax))
+	for _, e := range old {
+		if e.tag != 0 {
+			m.cacheStore(e.tag-1, e.f, e.g, e.h, e.r)
+		}
+	}
+}
+
+// cacheLookup returns the memoized result of op(f, g, h), if its slot
+// still holds it.
+func (m *Manager) cacheLookup(op uint32, f, g, h Ref) (Ref, bool) {
+	e := &m.cache[hashOp(op, f, g, h, uint32(len(m.cache)-1))]
+	if e.tag == op+1 && e.f == f && e.g == g && e.h == h {
+		return e.r, true
+	}
+	return 0, false
+}
+
+// cacheStore memoizes op(f, g, h) = r, overwriting whatever held the
+// slot. It rehashes on every call because the table may have grown
+// since the lookup.
+func (m *Manager) cacheStore(op uint32, f, g, h, r Ref) {
+	m.cache[hashOp(op, f, g, h, uint32(len(m.cache)-1))] = cacheEntry{tag: op + 1, f: f, g: g, h: h, r: r}
 }
 
 func (m *Manager) level(f Ref) int32 { return m.nodes[f].level }
@@ -337,8 +432,7 @@ func (m *Manager) ITE(f, g, h Ref) Ref {
 	case g == True && h == False:
 		return f
 	}
-	key := opKey{op: opITE, f: f, g: g, h: h}
-	if r, ok := m.cache[key]; ok {
+	if r, ok := m.cacheLookup(opITE, f, g, h); ok {
 		m.met.iteHit.Inc()
 		return r
 	}
@@ -357,7 +451,7 @@ func (m *Manager) ITE(f, g, h Ref) Ref {
 	lo := m.ITE(f0, g0, h0)
 	hi := m.ITE(f1, g1, h1)
 	r := m.mk(top, lo, hi)
-	m.cache[key] = r
+	m.cacheStore(opITE, f, g, h, r)
 	return r
 }
 
@@ -432,12 +526,9 @@ func (m *Manager) restrictLevel(f Ref, level int32, val bool) Ref {
 	if IsConst(f) || m.level(f) > level {
 		return f
 	}
-	sel := False
-	if val {
-		sel = True
-	}
-	key := opKey{op: opRestrict, f: f, g: m.mk(level, False, True), h: sel}
-	if r, ok := m.cache[key]; ok {
+	// The op tag keeps a level-as-Ref key apart from node keys.
+	sel := Constant(val)
+	if r, ok := m.cacheLookup(opRestrict, f, Ref(level), sel); ok {
 		m.met.restrictHit.Inc()
 		return r
 	}
@@ -455,7 +546,7 @@ func (m *Manager) restrictLevel(f Ref, level int32, val bool) Ref {
 			m.restrictLevel(n.lo, level, val),
 			m.restrictLevel(n.hi, level, val))
 	}
-	m.cache[key] = r
+	m.cacheStore(opRestrict, f, Ref(level), sel, r)
 	return r
 }
 
@@ -476,14 +567,13 @@ func (m *Manager) Exists(f Ref, name string) Ref {
 	if !ok {
 		return f
 	}
-	key := opKey{op: opExists, f: f, g: m.mk(int32(l), False, True)}
-	if r, ok := m.cache[key]; ok {
+	if r, ok := m.cacheLookup(opExists, f, Ref(l), False); ok {
 		m.met.existsHit.Inc()
 		return r
 	}
 	m.met.existsMiss.Inc()
 	r := m.Or(m.restrictLevel(f, int32(l), false), m.restrictLevel(f, int32(l), true))
-	m.cache[key] = r
+	m.cacheStore(opExists, f, Ref(l), False, r)
 	return r
 }
 

@@ -127,3 +127,53 @@ func TestGuardRepanicsForeignPanics(t *testing.T) {
 	}()
 	Guard(func() error { panic("not a bdd abort") })
 }
+
+// halves builds the two halves of a 12-pair inner product; their Xor is
+// one product that allocates thousands of nodes across several
+// unique-table doublings.
+func halves(m *Manager) (a, b Ref) {
+	for i := 0; i < 12; i++ {
+		m.Var(fmt.Sprintf("x%d", i)) // x0…x11 above every y
+	}
+	return innerProduct(m, 0, 6), innerProduct(m, 6, 12)
+}
+
+// TestGuardsTripInsideOneProduct arms the node budget and a canceled
+// context right before a single Xor, on a default and on a one-slot
+// computed table: both guards must fire inside the product.
+func TestGuardsTripInsideOneProduct(t *testing.T) {
+	for _, tiny := range []bool{false, true} {
+		m := New()
+		if tiny {
+			shrinkCache(m)
+		}
+		a, b := halves(m)
+		before := m.Size()
+		m.SetNodeBudget(100)
+		err := Guard(func() error { m.Xor(a, b); return nil })
+		if !errors.Is(err, guard.ErrBudgetExceeded) {
+			t.Fatalf("tiny=%v: budget inside Xor = %v, want ErrBudgetExceeded", tiny, err)
+		}
+		if got := m.Size() - before; got != 100 {
+			t.Fatalf("tiny=%v: budget of 100 let %d nodes through", tiny, got)
+		}
+		m.SetNodeBudget(0)
+
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		m.BindContext(ctx)
+		err = Guard(func() error { m.Xor(a, b); return nil })
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("tiny=%v: cancel inside Xor = %v, want context.Canceled", tiny, err)
+		}
+		m.BindContext(nil)
+
+		// A completed product after both trips is the same function on
+		// either table.
+		full := New()
+		fa, fb := halves(full)
+		if m.SatCount(m.Xor(a, b), 24) != full.SatCount(full.Xor(fa, fb), 24) {
+			t.Fatalf("tiny=%v: product after the trips differs", tiny)
+		}
+	}
+}

@@ -32,6 +32,9 @@ func Transfer(dst, src *Manager, f Ref) Ref {
 }
 
 // Stats summarises a manager's state for diagnostics and ablations.
+// CacheSize is the number of occupied computed-table slots: the table is
+// lossy and bounded, so it counts the results still memoized, not every
+// result ever computed.
 type Stats struct {
 	Vars      int
 	Nodes     int
@@ -45,8 +48,19 @@ func (m *Manager) Stats() Stats {
 		Vars:      len(m.vars),
 		Nodes:     len(m.nodes),
 		PeakNodes: m.PeakSize(),
-		CacheSize: len(m.cache),
+		CacheSize: m.cacheOccupied(),
 	}
+}
+
+// cacheOccupied counts the non-empty computed-table slots.
+func (m *Manager) cacheOccupied() int {
+	n := 0
+	for _, e := range m.cache {
+		if e.tag != 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // String renders the statistics compactly.

@@ -347,3 +347,34 @@ func TestMinFinite(t *testing.T) {
 		t.Errorf("MinFinite = %g", got)
 	}
 }
+
+// TestPropagateNodeCountRepeats pins down that Propagate composes in a
+// fixed order: the output functions are canonical in any order, but the
+// intermediate nodes are not, so five fresh Propagators running the same
+// census must end with the same arena size.
+func TestPropagateNodeCountRepeats(t *testing.T) {
+	dig := iscas.MustBenchmark("c432")
+	const comparators = 15
+	binding := dig.InputNames()[:comparators]
+	mx, err := NewMixed(circuits.Chebyshev5(), circuits.ChebyshevOutput,
+		adc.NewFlash(comparators, 0, comparators+1), dig, binding)
+	if err != nil {
+		t.Fatalf("NewMixed: %v", err)
+	}
+	want := -1
+	for run := 0; run < 5; run++ {
+		p, err := NewPropagator(mx)
+		if err != nil {
+			t.Fatalf("NewPropagator: %v", err)
+		}
+		if _, err := mx.CensusPropagation(p); err != nil {
+			t.Fatalf("CensusPropagation: %v", err)
+		}
+		got := p.Generator().Manager().Size()
+		if want < 0 {
+			want = got
+		} else if got != want {
+			t.Fatalf("run %d: census left %d nodes, run 0 left %d", run, got, want)
+		}
+	}
+}

@@ -82,8 +82,12 @@ func (p *Propagator) Propagate(pattern []waveform.Composite) (PropResult, bool, 
 	allDiff := bdd.False
 	for _, o := range p.mx.Digital.Outputs() {
 		f := p.gen.GoodFunction(o)
-		for name, g := range sub {
-			f = m.Compose(f, name, g)
+		// Compose in binding order: map order would make the
+		// intermediate nodes, and so the node counters, vary per run.
+		for _, name := range p.mx.Binding {
+			if g, ok := sub[name]; ok {
+				f = m.Compose(f, name, g)
+			}
 		}
 		if !m.DependsOn(f, DVar) {
 			continue

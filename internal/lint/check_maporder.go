@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -22,6 +23,11 @@ import (
 //	sort.Strings(keys)          // the intervening sort redeems the loop
 //	for _, k := range keys { …each m[k]… }
 //
+// A BDD fold is order-carrying too: `f = m.Compose(f, …)` or
+// `s = m.Or(s, …)` on a *bdd.Manager, with f declared outside the loop.
+// The final function is canonical, but the intermediate nodes — and so
+// the node counters and any early exit — follow map order.
+//
 // Writing into another map, counting, or folding with a commutative
 // operator inside the range body carries no order and is not flagged.
 type maporder struct{}
@@ -30,7 +36,7 @@ func newMaporder() Check { return &maporder{} }
 
 func (*maporder) Name() string { return "maporder" }
 func (*maporder) Doc() string {
-	return "no slice appends or output emission in map iteration order without a sort"
+	return "no slice appends, output emission or BDD folds in map iteration order without a sort"
 }
 
 func (c *maporder) Run(p *Package) []Finding {
@@ -59,13 +65,20 @@ func (c *maporder) checkRange(p *Package, fn funcNode, rng *ast.RangeStmt, seen 
 			if seen[n] {
 				return true
 			}
+			if obj := c.bddFoldTarget(p, n); obj != nil && !declaredIn(obj, rng) {
+				seen[n] = true
+				*out = append(*out, p.finding(c.Name(), n.Pos(),
+					"BDD fold into %q in map iteration order; range over an ordered slice of the keys",
+					obj.Name()))
+				return true
+			}
 			obj, ok := c.appendTarget(p, n)
 			if !ok || obj == nil {
 				return true
 			}
 			// A slice born inside the loop body dies with the iteration
 			// and carries no cross-iteration order.
-			if obj.Pos() > rng.Pos() && obj.Pos() < rng.End() {
+			if declaredIn(obj, rng) {
 				return true
 			}
 			if p.sortedAfter(fn, obj, rng.End()) {
@@ -100,6 +113,38 @@ func (c *maporder) appendTarget(p *Package, as *ast.AssignStmt) (types.Object, b
 		return nil, false
 	}
 	return p.baseObj(as.Lhs[0]), true
+}
+
+// declaredIn reports whether obj is declared inside the range statement,
+// so it dies with the iteration and carries no cross-iteration order.
+func declaredIn(obj types.Object, rng *ast.RangeStmt) bool {
+	return obj.Pos() > rng.Pos() && obj.Pos() < rng.End()
+}
+
+// bddFoldTarget matches `v = m.Op(…, v, …)` where m is a *bdd.Manager
+// and v is passed straight back in, and returns v's object.
+func (c *maporder) bddFoldTarget(p *Package, as *ast.AssignStmt) types.Object {
+	if as.Tok != token.ASSIGN || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
+		return nil
+	}
+	call, ok := unparen(as.Rhs[0]).(*ast.CallExpr)
+	if !ok || !isNamedIn(p.recvType(call), "internal/bdd", "Manager") {
+		return nil
+	}
+	id, ok := unparen(as.Lhs[0]).(*ast.Ident)
+	if !ok {
+		return nil
+	}
+	obj := p.objectOf(id)
+	if obj == nil {
+		return nil
+	}
+	for _, a := range call.Args {
+		if arg, ok := unparen(a).(*ast.Ident); ok && p.objectOf(arg) == obj {
+			return obj
+		}
+	}
+	return nil
 }
 
 // emissionSink classifies calls that serialize directly: the fmt print

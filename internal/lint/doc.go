@@ -36,9 +36,10 @@
 // obs collector merge, the job daemon's durable queue) established —
 // properties the tests only spot-check:
 //
-//   - maporder: no slice appends or output emission (fmt prints,
-//     json.Encoder.Encode, writer Write/WriteString) in map iteration
-//     order; the sanctioned idiom collects keys and sorts before use.
+//   - maporder: no slice appends, output emission (fmt prints,
+//     json.Encoder.Encode, writer Write/WriteString) or BDD folds
+//     (`f = m.Compose(f, …)` on a *bdd.Manager) in map iteration order;
+//     the sanctioned idiom collects keys and sorts before use.
 //   - rngsource: no global math/rand top-level functions and no
 //     time-seeded sources in internal/ code; randomness comes from an
 //     injected run-local rand.New(rand.NewSource(seed)).

@@ -1,5 +1,5 @@
-// Package maporder is a lint fixture: slice appends and direct emission
-// in map iteration order, the sanctioned sorted idioms, and one
+// Package maporder is a lint fixture: slice appends, direct emission and
+// BDD folds in map iteration order, the sanctioned idioms, and one
 // suppressed case.
 package maporder
 
@@ -8,6 +8,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+
+	"repro/internal/bdd"
 )
 
 // Keys appends in map order with no sort: a different slice every run.
@@ -42,6 +44,46 @@ func Build(m map[string]int, buf *bytes.Buffer) {
 	for k := range m {
 		buf.WriteString(k)
 	}
+}
+
+// ComposeAll substitutes in map order: the result is canonical, but the
+// intermediate nodes differ per run.
+func ComposeAll(m *bdd.Manager, f bdd.Ref, sub map[string]bdd.Ref) bdd.Ref {
+	for name, g := range sub {
+		f = m.Compose(f, name, g)
+	}
+	return f
+}
+
+// OrAll folds Or over a map's values in map order.
+func OrAll(m *bdd.Manager, fs map[int]bdd.Ref) bdd.Ref {
+	s := bdd.False
+	for _, f := range fs {
+		s = m.Or(s, m.Not(f))
+	}
+	return s
+}
+
+// ComposeOrdered ranges over the ordered names and looks each up.
+func ComposeOrdered(m *bdd.Manager, f bdd.Ref, names []string, sub map[string]bdd.Ref) bdd.Ref {
+	for _, name := range names {
+		if g, ok := sub[name]; ok {
+			f = m.Compose(f, name, g)
+		}
+	}
+	return f
+}
+
+// PerKey folds into a variable born in the loop body: nothing carries
+// across iterations.
+func PerKey(m *bdd.Manager, f bdd.Ref, sub map[string]bdd.Ref) map[string]bdd.Ref {
+	out := map[string]bdd.Ref{}
+	for name, g := range sub {
+		r := m.Not(f)
+		r = m.Compose(r, name, g)
+		out[name] = r
+	}
+	return out
 }
 
 // SortedKeys is the sanctioned collect-then-sort idiom.
