@@ -169,6 +169,20 @@ func BenchmarkAnalogACSolve(b *testing.B) {
 	}
 }
 
+// BenchmarkAnalogGainMag times one gain-magnitude measurement of the
+// Chebyshev filter at 10 kHz: the solve every analog parameter is built
+// from, without the Solution that AC returns.
+func BenchmarkAnalogGainMag(b *testing.B) {
+	c := circuits.Chebyshev5()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.GainMag(circuits.ChebyshevOutput, 10e3); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkWorstCaseED times one worst-case element-deviation solve on
 // the band-pass (one cell of the Equation 1 matrix).
 func BenchmarkWorstCaseED(b *testing.B) {

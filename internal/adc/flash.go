@@ -277,26 +277,7 @@ func (f *Flash) EDViaComparator(i, k int, opt EDOptions) float64 {
 		defer restore()
 		return math.Abs(f.Threshold(k)-vt0) - target
 	}
-	best := math.Inf(1)
-	for _, sign := range []float64{1, -1} {
-		limit := opt.MaxDev
-		if sign < 0 && limit > 0.95 {
-			limit = 0.95
-		}
-		g := func(mag float64) float64 { return h(sign * mag) }
-		a, b, err := numeric.ExpandBracket(g, 0, 0.01, limit)
-		if err != nil {
-			continue
-		}
-		x, err := numeric.Brent(g, a, b, 1e-9)
-		if err != nil {
-			continue
-		}
-		if x < best {
-			best = x
-		}
-	}
-	return best
+	return numeric.SmallestCrossing(h, opt.MaxDev, 1e-9)
 }
 
 // ElementED returns the coverage of ladder resistor i: the minimal

@@ -20,9 +20,13 @@ type Matrix struct {
 }
 
 // BuildMatrix computes the full worst-case deviation matrix for the
-// given elements and parameters. Each element row leaves one "analog.ed"
-// event carrying its best (smallest) worst-case deviation and the
-// parameter achieving it — the per-element record of Equation 1.
+// given elements and parameters, each cell equal bit for bit to
+// WorstCaseED(c, element, param, elements, opt). It measures each
+// parameter's T₀ once, and each element's masking sensitivity once per
+// parameter, since neither depends on which element is faulty. Each
+// element row leaves one "analog.ed" event carrying its best (smallest)
+// worst-case deviation and the parameter achieving it — the per-element
+// record of Equation 1.
 func BuildMatrix(c *mna.Circuit, elements []string, params []Parameter, opt EDOptions) (*Matrix, error) {
 	defer obs.Default.StartSpan("analog.build_matrix").End()
 	m := &Matrix{
@@ -30,11 +34,19 @@ func BuildMatrix(c *mna.Circuit, elements []string, params []Parameter, opt EDOp
 		Params:   append([]Parameter(nil), params...),
 		ED:       make([][]float64, len(elements)),
 	}
+	t0 := make([]float64, len(params))
+	sens := make([][]float64, len(params))
+	for j, p := range params {
+		var err error
+		if t0[j], sens[j], err = column(c, p, elements, opt); err != nil {
+			return nil, fmt.Errorf("analog: ED(%s): %w", p.Name(), err)
+		}
+	}
 	for i, e := range elements {
 		start := time.Now()
 		m.ED[i] = make([]float64, len(params))
 		for j, p := range params {
-			ed, err := WorstCaseED(c, e, p, elements, opt)
+			ed, err := worstCaseED(c, e, p, t0[j], elements, sens[j], opt)
 			if err != nil {
 				return nil, fmt.Errorf("analog: ED(%s, %s): %w", e, p.Name(), err)
 			}

@@ -146,7 +146,7 @@ func TestEDMatrixGolden(t *testing.T) {
 // nominal BuildMatrix of the band-pass makes: the work counter the ED
 // search is tuned against.
 func TestBuildMatrixSolveCount(t *testing.T) {
-	const want = 130235
+	const want = 41419
 	col := obs.NewCollector()
 	c := circuits.BandPass2()
 	c.Instrument(col)

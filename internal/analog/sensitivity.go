@@ -3,6 +3,7 @@ package analog
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/mna"
 	"repro/internal/numeric"
@@ -21,6 +22,27 @@ var (
 // parameter when the element's value is multiplied by (1 + δ), with every
 // other element at nominal. T₀ is measured on the unperturbed circuit.
 func ParamDeviation(c *mna.Circuit, elem string, p Parameter, delta float64) (float64, error) {
+	t0, err := nominal(c, p)
+	if err != nil {
+		return 0, err
+	}
+	return deviation(c, elem, p, t0, delta)
+}
+
+// Sensitivity returns the normalised first-order sensitivity
+// S = (∂T/T)/(∂x/x), estimated by a central finite difference with
+// relative step h (1e-4 is a good default for the filters here).
+func Sensitivity(c *mna.Circuit, elem string, p Parameter, h float64) (float64, error) {
+	t0, err := nominal(c, p)
+	if err != nil {
+		return 0, err
+	}
+	return sensitivity(c, elem, p, t0, h)
+}
+
+// nominal measures T₀, the parameter on the unperturbed circuit, which
+// every relative deviation is taken against.
+func nominal(c *mna.Circuit, p Parameter) (float64, error) {
 	t0, err := p.Measure(c)
 	if err != nil {
 		return 0, err
@@ -28,6 +50,11 @@ func ParamDeviation(c *mna.Circuit, elem string, p Parameter, delta float64) (fl
 	if t0 == 0 {
 		return 0, fmt.Errorf("analog: parameter %s is zero at nominal; relative deviation undefined", p.Name())
 	}
+	return t0, nil
+}
+
+// deviation is ParamDeviation against a known T₀: one measurement.
+func deviation(c *mna.Circuit, elem string, p Parameter, t0, delta float64) (float64, error) {
 	restore := c.Perturb(elem, delta)
 	defer restore()
 	t1, err := p.Measure(c)
@@ -37,18 +64,16 @@ func ParamDeviation(c *mna.Circuit, elem string, p Parameter, delta float64) (fl
 	return (t1 - t0) / t0, nil
 }
 
-// Sensitivity returns the normalised first-order sensitivity
-// S = (∂T/T)/(∂x/x), estimated by a central finite difference with
-// relative step h (1e-4 is a good default for the filters here).
-func Sensitivity(c *mna.Circuit, elem string, p Parameter, h float64) (float64, error) {
+// sensitivity is Sensitivity against a known T₀: two measurements.
+func sensitivity(c *mna.Circuit, elem string, p Parameter, t0, h float64) (float64, error) {
 	if h <= 0 {
 		h = 1e-4
 	}
-	up, err := ParamDeviation(c, elem, p, h)
+	up, err := deviation(c, elem, p, t0, h)
 	if err != nil {
 		return 0, err
 	}
-	down, err := ParamDeviation(c, elem, p, -h)
+	down, err := deviation(c, elem, p, t0, -h)
 	if err != nil {
 		return 0, err
 	}
@@ -88,44 +113,51 @@ func Unobservable(ed float64) bool { return math.IsInf(ed, 1) }
 // elements contributing masking. The result is a fraction (0.099 = 9.9%);
 // +Inf when no deviation up to MaxDev is observable.
 func WorstCaseED(c *mna.Circuit, elem string, p Parameter, others []string, opt EDOptions) (float64, error) {
+	others = slices.DeleteFunc(slices.Clone(others), func(e string) bool { return e == elem })
+	t0, sens, err := column(c, p, others, opt)
+	if err != nil {
+		return 0, err
+	}
+	return worstCaseED(c, elem, p, t0, others, sens, opt)
+}
+
+// column measures what every ED cell of parameter p shares: T₀, and the
+// masking sensitivity of each of elems when masking is on (else zeros).
+func column(c *mna.Circuit, p Parameter, elems []string, opt EDOptions) (t0 float64, sens []float64, err error) {
+	if t0, err = nominal(c, p); err != nil {
+		return 0, nil, err
+	}
+	sens = make([]float64, len(elems))
+	if opt.ElemTol <= 0 {
+		return t0, sens, nil
+	}
+	for k, e := range elems {
+		if sens[k], err = sensitivity(c, e, p, t0, opt.Step); err != nil {
+			return 0, nil, err
+		}
+	}
+	return t0, sens, nil
+}
+
+// worstCaseED is WorstCaseED with T₀ and the masking sensitivity sens[k]
+// of each others[k] already measured (entries for elem itself are unused).
+func worstCaseED(c *mna.Circuit, elem string, p Parameter, t0 float64, others []string, sens []float64, opt EDOptions) (float64, error) {
 	cEDSolves.Inc()
 	// Worst-case masking slack: sum of |S_e| · tol_e over fault-free
-	// elements (first-order, as in the sensitivity-based method of [8]).
+	// elements (first-order, as in the sensitivity-based method of [8]),
+	// summed in others order.
 	slack := 0.0
-	if opt.ElemTol > 0 {
-		for _, e := range others {
-			if e == elem {
-				continue
-			}
-			s, err := Sensitivity(c, e, p, opt.Step)
-			if err != nil {
-				return 0, err
-			}
-			slack += math.Abs(s) * opt.ElemTol
+	for k, e := range others {
+		if e != elem {
+			slack += math.Abs(sens[k]) * opt.ElemTol
 		}
 	}
 	threshold := opt.Tol + slack
 
-	best := math.Inf(1)
-	for _, sign := range []float64{1, -1} {
-		d, err := smallestCrossing(c, elem, p, sign, threshold, opt.MaxDev)
-		if err != nil {
-			return 0, err
-		}
-		if d < best {
-			best = d
-		}
-	}
-	return best, nil
-}
-
-// smallestCrossing finds the smallest |δ| with the given sign such that
-// |ΔT/T(δ)| ≥ threshold, or +Inf if none exists below maxDev.
-func smallestCrossing(c *mna.Circuit, elem string, p Parameter, sign, threshold, maxDev float64) (float64, error) {
 	var measureErr error
-	g := func(mag float64) float64 {
+	h := func(delta float64) float64 {
 		cEDEvals.Inc()
-		dev, err := ParamDeviation(c, elem, p, sign*mag)
+		dev, err := deviation(c, elem, p, t0, delta)
 		if err != nil {
 			if measureErr == nil {
 				measureErr = err
@@ -134,27 +166,9 @@ func smallestCrossing(c *mna.Circuit, elem string, p Parameter, sign, threshold,
 		}
 		return math.Abs(dev) - threshold
 	}
-	limit := maxDev
-	if sign < 0 {
-		// A negative deviation cannot exceed −100% (element value would
-		// go non-positive); stop just short of it.
-		if limit > 0.95 {
-			limit = 0.95
-		}
-	}
-	a, b, err := numeric.ExpandBracket(g, 0, 0.01, limit)
+	ed := numeric.SmallestCrossing(h, opt.MaxDev, 1e-6)
 	if measureErr != nil {
 		return 0, measureErr
 	}
-	if err != nil {
-		return math.Inf(1), nil // never crosses below the cap
-	}
-	x, err := numeric.Brent(g, a, b, 1e-6)
-	if measureErr != nil {
-		return 0, measureErr
-	}
-	if err != nil {
-		return math.Inf(1), nil
-	}
-	return x, nil
+	return ed, nil
 }

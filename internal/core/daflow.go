@@ -244,27 +244,9 @@ func (mx *MixedDA) AnalogElementEDDA(elem string, maxDev float64) (float64, erro
 		}
 		return math.Abs(gain-gain0)*vfs - band
 	}
-	best := math.Inf(1)
-	for _, sign := range []float64{1, -1} {
-		limit := maxDev
-		if sign < 0 && limit > 0.95 {
-			limit = 0.95
-		}
-		g := func(mag float64) float64 { return h(sign * mag) }
-		a, b, err := numeric.ExpandBracket(g, 0, 0.01, limit)
-		if measureErr != nil {
-			return 0, measureErr
-		}
-		if err != nil {
-			continue
-		}
-		x, err := numeric.Brent(g, a, b, 1e-7)
-		if err != nil {
-			continue
-		}
-		if x < best {
-			best = x
-		}
+	ed := numeric.SmallestCrossing(h, maxDev, 1e-7)
+	if measureErr != nil {
+		return 0, measureErr
 	}
-	return best, nil
+	return ed, nil
 }

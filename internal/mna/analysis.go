@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
+	"slices"
 
 	"repro/internal/guard"
 	"repro/internal/guard/chaos"
@@ -13,28 +14,31 @@ import (
 
 // Solution holds the result of one DC or AC analysis: the phasor voltage
 // of every node at the analysis frequency, plus the branch currents of
-// the group-2 elements (voltage sources, inductors, VCVS, op-amps).
+// the group-2 elements (voltage sources, inductors, VCVS, op-amps), read
+// through the circuit's indices: add no elements while reading it.
 type Solution struct {
 	circuit *Circuit
 	freq    float64
-	v       []complex128 // node voltages indexed like circuit.nodeName; v[0] = 0
-	branch  map[string]complex128
+	x       []complex128 // the MNA unknowns: node i at x[i-1], then branch currents
 }
 
 // Freq returns the analysis frequency in Hz (0 for DC).
 func (s *Solution) Freq() float64 { return s.freq }
 
 // V returns the phasor voltage at the named node.
-func (s *Solution) V(node string) complex128 {
+func (s *Solution) V(node string) complex128 { return s.circuit.nodeV(s.x, node) }
+
+// nodeV reads the named node's voltage from the solution vector x.
+func (c *Circuit) nodeV(x []complex128, node string) complex128 {
 	if isGround(node) {
 		return 0
 	}
-	idx, ok := s.circuit.nodes[node]
+	idx, ok := c.nodes[node]
 	if !ok {
 		//lint:allow nopanic probing an unknown node is a caller bug in experiment code
-		panic(fmt.Sprintf("mna: no node %q in circuit %q", node, s.circuit.name))
+		panic(fmt.Sprintf("mna: no node %q in circuit %q", node, c.name))
 	}
-	return s.v[idx]
+	return x[idx-1]
 }
 
 // Mag returns |V(node)|.
@@ -52,19 +56,40 @@ func (s *Solution) PhaseDeg(node string) float64 {
 // It panics for elements without a branch unknown (use a 0 V sense
 // source in series to probe a group-1 branch).
 func (s *Solution) BranchCurrent(name string) complex128 {
-	i, ok := s.branch[name]
-	if !ok {
+	e, ok := s.circuit.byName[name]
+	if !ok || e.branch < 0 {
 		//lint:allow nopanic documented contract: panics for elements without a branch unknown
 		panic(fmt.Sprintf("mna: element %q has no branch current in circuit %q", name, s.circuit.name))
 	}
-	return i
+	return s.x[e.branch]
 }
 
-// assemble builds the complex MNA system at angular frequency omega.
-// Unknown ordering: node voltages 1..N-1 (node 0 is ground and eliminated),
-// then one current unknown per group-2 element.
-func (c *Circuit) assemble(omega float64) (a [][]complex128, b []complex128, nNodes int) {
-	nNodes = len(c.nodeName) - 1
+// workspace is a circuit's solve scratch: the system A·x = b, its
+// solution and the pivot scales, sized to the system and reused by every
+// solve so that a solve allocates nothing.
+type workspace struct {
+	a     [][]complex128
+	b, x  []complex128
+	scale []float64
+}
+
+// reset sizes the workspace to an n-unknown system and zeroes A and b.
+func (w *workspace) reset(n int) {
+	if len(w.b) != n {
+		w.a, w.b, w.x, w.scale = numeric.NewComplexMatrix(n), make([]complex128, n), make([]complex128, n), make([]float64, n)
+		return
+	}
+	for _, row := range w.a {
+		clear(row)
+	}
+	clear(w.b)
+}
+
+// assemble builds the complex MNA system at angular frequency omega in
+// the circuit's workspace. Unknown ordering: node voltages 1..N-1 (node 0
+// is ground and eliminated), then one current unknown per group-2 element.
+func (c *Circuit) assemble(omega float64) {
+	nNodes := len(c.nodeName) - 1
 	nBranch := 0
 	for _, e := range c.elems {
 		if e.needsBranch() {
@@ -74,9 +99,8 @@ func (c *Circuit) assemble(omega float64) (a [][]complex128, b []complex128, nNo
 			e.branch = -1
 		}
 	}
-	n := nNodes + nBranch
-	a = numeric.NewComplexMatrix(n)
-	b = make([]complex128, n)
+	c.ws.reset(nNodes + nBranch)
+	a, b := c.ws.a, c.ws.b
 
 	// row/col index for a node: node 0 (ground) maps to -1 (dropped).
 	ix := func(node int) int { return node - 1 }
@@ -148,7 +172,6 @@ func (c *Circuit) assemble(omega float64) (a [][]complex128, b []complex128, nNo
 			addA(ix(e.b), br, -1)
 		}
 	}
-	return a, b, nNodes
 }
 
 func stampAdmittance(addA func(r, c int, v complex128), ia, ib int, y complex128) {
@@ -180,8 +203,8 @@ type mnaMetrics struct {
 // mna.solves.ac, mna.solve.size) to col instead of the process-wide
 // obs.Default — the hook a sharded run loop uses to attribute analog
 // work to the worker lane (child collector) driving the circuit. A nil
-// col restores the default. Handles are interned once here; solve()
-// itself stays allocation-free.
+// col restores the default. Handles are interned once here, so counting
+// a solve is a pointer chase, not a name lookup.
 func (c *Circuit) Instrument(col *obs.Collector) {
 	if col == nil {
 		c.met = nil
@@ -194,10 +217,16 @@ func (c *Circuit) Instrument(col *obs.Collector) {
 	}
 }
 
-// solve runs the analysis at angular frequency omega. It fails fast on
-// a recorded construction error, a done bound context, or an exhausted
-// solve budget — the hardened-execution entry point for analog work.
-func (c *Circuit) solve(omega, freq float64) (*Solution, error) {
+// solve runs the analysis at frequency f in hertz (0 is DC) and returns
+// the solution vector, which lives in the circuit's workspace until the
+// next solve; once the workspace is sized, a solve allocates nothing. It
+// fails fast on a recorded construction error, a done bound context, or
+// an exhausted solve budget — the hardened-execution entry point for
+// analog work.
+func (c *Circuit) solve(f float64) ([]complex128, error) {
+	if f < 0 {
+		return nil, fmt.Errorf("mna: negative frequency %g", f)
+	}
 	if c.buildErr != nil {
 		return nil, fmt.Errorf("mna: circuit %q has a construction error: %w", c.name, c.buildErr)
 	}
@@ -220,42 +249,33 @@ func (c *Circuit) solve(omega, freq float64) (*Solution, error) {
 	if c.met != nil {
 		dc, ac, size = c.met.solvesDC, c.met.solvesAC, c.met.solveSize
 	}
-	if freq == 0 {
+	if f == 0 {
 		dc.Inc()
 	} else {
 		ac.Inc()
 	}
-	a, b, nNodes := c.assemble(omega)
-	size.Observe(int64(len(b)))
-	x, err := numeric.SolveComplex(a, b)
-	if err != nil {
-		return nil, fmt.Errorf("mna: circuit %q at f=%g Hz: %w", c.name, freq, err)
+	c.assemble(2 * math.Pi * f)
+	w := &c.ws
+	size.Observe(int64(len(w.b)))
+	if err := numeric.SolveComplexInto(w.a, w.b, w.x, w.scale); err != nil {
+		return nil, fmt.Errorf("mna: circuit %q at f=%g Hz: %w", c.name, f, err)
 	}
-	v := make([]complex128, nNodes+1)
-	copy(v[1:], x[:nNodes])
-	branch := map[string]complex128{}
-	for _, e := range c.elems {
-		if e.branch >= 0 {
-			branch[e.name] = x[e.branch]
-		}
-	}
-	return &Solution{circuit: c, freq: freq, v: v, branch: branch}, nil
+	return w.x, nil
 }
 
 // AC performs a phasor analysis at frequency f in hertz. All independent
 // sources contribute their AC amplitudes at zero phase.
 func (c *Circuit) AC(f float64) (*Solution, error) {
-	if f < 0 {
-		return nil, fmt.Errorf("mna: negative frequency %g", f)
+	x, err := c.solve(f)
+	if err != nil {
+		return nil, err
 	}
-	return c.solve(2*math.Pi*f, f)
+	return &Solution{circuit: c, freq: f, x: slices.Clone(x)}, nil
 }
 
 // DC performs an operating-point analysis: capacitors open, inductors
 // short, sources at their DC values.
-func (c *Circuit) DC() (*Solution, error) {
-	return c.solve(0, 0)
-}
+func (c *Circuit) DC() (*Solution, error) { return c.AC(0) }
 
 // Gain returns the complex voltage transfer V(out)/V(in-source amplitude)
 // at frequency f. The circuit must contain exactly one voltage source with
@@ -282,7 +302,7 @@ func (c *Circuit) Gain(out string, f float64) (complex128, error) {
 	if src == nil {
 		return 0, fmt.Errorf("mna: circuit %q has no active voltage source", c.name)
 	}
-	sol, err := c.solveAt(f)
+	x, err := c.solve(f)
 	if err != nil {
 		return 0, err
 	}
@@ -290,17 +310,11 @@ func (c *Circuit) Gain(out string, f float64) (complex128, error) {
 	if f == 0 {
 		amp = src.dc
 	}
-	return sol.V(out) / complex(amp, 0), nil
+	return c.nodeV(x, out) / complex(amp, 0), nil
 }
 
-func (c *Circuit) solveAt(f float64) (*Solution, error) {
-	if f == 0 {
-		return c.DC()
-	}
-	return c.AC(f)
-}
-
-// GainMag returns |Gain(out, f)|.
+// GainMag returns |Gain(out, f)|. Neither allocates once the circuit
+// has solved at its current size: the node is read from the workspace.
 func (c *Circuit) GainMag(out string, f float64) (float64, error) {
 	g, err := c.Gain(out, f)
 	if err != nil {
@@ -325,13 +339,13 @@ func (c *Circuit) InputImpedance(source string, f float64) (complex128, error) {
 	if amp == 0 {
 		return 0, fmt.Errorf("mna: source %q is inactive at f=%g", source, f)
 	}
-	sol, err := c.solveAt(f)
+	x, err := c.solve(f)
 	if err != nil {
 		return 0, err
 	}
-	// BranchCurrent uses the SPICE convention (into the + terminal);
+	// Branch currents use the SPICE convention (into the + terminal);
 	// the current delivered to the circuit is its negation.
-	iin := -sol.BranchCurrent(source)
+	iin := -x[e.branch]
 	if iin == 0 {
 		return 0, fmt.Errorf("mna: source %q drives no current; input impedance is infinite", source)
 	}

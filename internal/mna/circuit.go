@@ -15,6 +15,10 @@ import (
 // every solve fails fast on a circuit with a recorded build error. This
 // keeps the fluent AddR/AddC/... style usable on untrusted input
 // (netlists, generated profiles) without a recover at every call site.
+//
+// A Circuit is not safe for concurrent use: every solve writes the
+// circuit's own workspace, and Perturb and SetValue edit it in place.
+// Give each goroutine its own circuit (core.MixedFactory does).
 type Circuit struct {
 	name     string
 	nodes    map[string]int // node name → index; ground is 0
@@ -27,6 +31,7 @@ type Circuit struct {
 	budget   int64           // max solves when > 0
 	solves   int64           // solves performed under the budget
 	met      *mnaMetrics     // per-circuit handles; nil = process-wide
+	ws       workspace       // solve scratch, reused across solves
 }
 
 // New returns an empty circuit with the given descriptive name.

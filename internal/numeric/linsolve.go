@@ -28,46 +28,57 @@ const pivotEps = 1e-13
 // row-major order and is modified in place, as is b; the solution is
 // returned in a fresh slice. The matrix must be square and match len(b).
 func SolveComplex(a [][]complex128, b []complex128) ([]complex128, error) {
+	x := make([]complex128, len(b))
+	if err := SolveComplexInto(a, b, x, make([]float64, len(b))); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
+// SolveComplexInto is SolveComplex writing the solution into x, with
+// scale as per-row scratch (both of len(b)); it allocates nothing. Scaled
+// partial pivoting compares |a[i][k]|² / max_j |a[i][j]|², the square of
+// the usual ratio, so it needs no square root.
+func SolveComplexInto(a [][]complex128, b, x []complex128, scale []float64) error {
 	n := len(a)
 	if n == 0 {
-		return nil, errors.New("numeric: empty system")
+		return errors.New("numeric: empty system")
 	}
-	if len(b) != n {
-		return nil, fmt.Errorf("numeric: dimension mismatch: %d rows, %d rhs", n, len(b))
+	if len(b) != n || len(x) != n || len(scale) != n {
+		return fmt.Errorf("numeric: dimension mismatch: %d rows, %d rhs, %d solution, %d scale", n, len(b), len(x), len(scale))
 	}
 	for i, row := range a {
 		if len(row) != n {
-			return nil, fmt.Errorf("numeric: row %d has %d columns, want %d", i, len(row), n)
+			return fmt.Errorf("numeric: row %d has %d columns, want %d", i, len(row), n)
 		}
 	}
 
 	// Scale factor per row for scaled partial pivoting keeps the
 	// elimination stable when MNA stamps mix conductances of very
 	// different magnitudes (1/R vs. ωC).
-	scale := make([]float64, n)
 	for i := 0; i < n; i++ {
 		s := 0.0
 		for j := 0; j < n; j++ {
-			if m := cmplx.Abs(a[i][j]); m > s {
+			if m := abs2(a[i][j]); m > s {
 				s = m
 			}
 		}
 		if s == 0 {
-			return nil, ErrSingular
+			return ErrSingular
 		}
 		scale[i] = s
 	}
 
 	for k := 0; k < n; k++ {
 		// Select pivot row.
-		p, best := k, cmplx.Abs(a[k][k])/scale[k]
+		p, best := k, abs2(a[k][k])/scale[k]
 		for i := k + 1; i < n; i++ {
-			if m := cmplx.Abs(a[i][k]) / scale[i]; m > best {
+			if m := abs2(a[i][k]) / scale[i]; m > best {
 				p, best = i, m
 			}
 		}
-		if best < pivotEps {
-			return nil, ErrSingular
+		if best < pivotEps*pivotEps {
+			return ErrSingular
 		}
 		if p != k {
 			a[p], a[k] = a[k], a[p]
@@ -88,7 +99,6 @@ func SolveComplex(a [][]complex128, b []complex128) ([]complex128, error) {
 		}
 	}
 
-	x := make([]complex128, n)
 	for i := n - 1; i >= 0; i-- {
 		sum := b[i]
 		for j := i + 1; j < n; j++ {
@@ -96,8 +106,11 @@ func SolveComplex(a [][]complex128, b []complex128) ([]complex128, error) {
 		}
 		x[i] = sum / a[i][i]
 	}
-	return x, nil
+	return nil
 }
+
+// abs2 returns |z|².
+func abs2(z complex128) float64 { return real(z)*real(z) + imag(z)*imag(z) }
 
 // SolveReal solves A·x = b over the reals with scaled partial pivoting.
 // A and b are modified in place.
@@ -132,8 +145,8 @@ func SolveReal(a [][]float64, b []float64) ([]float64, error) {
 	return x, nil
 }
 
-// NewComplexMatrix allocates an n×n zero matrix backed by a single slice so
-// repeated AC sweeps reuse cache-friendly storage.
+// NewComplexMatrix allocates an n×n zero matrix whose rows share one
+// contiguous backing slice.
 func NewComplexMatrix(n int) [][]complex128 {
 	backing := make([]complex128, n*n)
 	m := make([][]complex128, n)

@@ -49,8 +49,12 @@ func Bisect(f func(float64) float64, lo, hi, tol float64) (float64, error) {
 // faster than plain bisection on the smooth deviation curves produced by
 // the analog sensitivity engine.
 func Brent(f func(float64) float64, lo, hi, tol float64) (float64, error) {
-	a, b := lo, hi
-	fa, fb := f(a), f(b)
+	return brent(f, lo, hi, f(lo), f(hi), tol)
+}
+
+// brent is Brent's method on [a, b] with f(a) = fa and f(b) = fb already
+// known, so a caller that has just evaluated the ends does not pay again.
+func brent(f func(float64) float64, a, b, fa, fb, tol float64) (float64, error) {
 	if fa == 0 {
 		return a, nil
 	}
@@ -93,7 +97,10 @@ func Brent(f func(float64) float64, lo, hi, tol float64) (float64, error) {
 		} else {
 			mflag = false
 		}
-		fs := f(s)
+		fs := fb // interpolation can land back on b once fb is tiny
+		if s != b {
+			fs = f(s)
+		}
 		d, c, fc = c, b, fb
 		if math.Signbit(fa) != math.Signbit(fs) {
 			b, fb = s, fs
@@ -132,36 +139,66 @@ func GoldenMax(f func(float64) float64, lo, hi, tol float64) (x, fx float64) {
 	return x, f(x)
 }
 
-// ExpandBracket grows the interval [lo, hi] geometrically around hi until
-// f changes sign relative to f(lo) or the limit is reached. Returns the
-// bracketing interval. Used to bracket worst-case deviation crossings whose
-// location can range from a few percent to several hundred percent.
-func ExpandBracket(f func(float64) float64, lo, hi, limit float64) (a, b float64, err error) {
-	fa := f(lo)
-	if fa == 0 {
-		return lo, lo, nil
+// expandBracket grows the interval [lo, hi] geometrically around hi until
+// f changes sign relative to flo = f(lo) or the limit is reached. It
+// returns the bracketing interval and f at both of its ends, and never
+// evaluates f twice at one point. Worst-case deviation crossings can lie
+// anywhere from a few percent to several hundred percent.
+func expandBracket(f func(float64) float64, lo, hi, flo, limit float64) (a, b, fa, fb float64, err error) {
+	if flo == 0 {
+		return lo, lo, flo, flo, nil
 	}
 	step := hi - lo
 	if step <= 0 {
-		return 0, 0, errors.New("numeric: ExpandBracket requires hi > lo")
+		return 0, 0, 0, 0, errors.New("numeric: expandBracket requires hi > lo")
 	}
-	a, b = lo, hi
+	a, b, fa = lo, hi, flo
 	for i := 0; i < 80; i++ {
-		fb := f(b)
-		if fb == 0 || math.Signbit(fa) != math.Signbit(fb) {
-			return a, b, nil
+		fb = f(b)
+		if fb == 0 || math.Signbit(flo) != math.Signbit(fb) {
+			return a, b, fa, fb, nil
 		}
-		a = b
+		a, fa = b, fb
 		step *= 1.6
 		b += step
 		if b > limit {
+			if a == limit {
+				break // f(limit) is already known not to cross
+			}
 			b = limit
 			fb = f(b)
-			if math.Signbit(fa) != math.Signbit(fb) {
-				return a, b, nil
+			if math.Signbit(flo) != math.Signbit(fb) {
+				return a, b, fa, fb, nil
 			}
-			return 0, 0, ErrNoBracket
+			break
 		}
 	}
-	return 0, 0, ErrNoBracket
+	return 0, 0, 0, 0, ErrNoBracket
+}
+
+// SmallestCrossing returns the smallest |δ| at which h(δ) reaches zero
+// from h(0): the worst-case deviation search of the analog, DAC, ADC and
+// digital→analog ED computations. Each sign is searched on its own, up
+// to +maxDev and down to −min(maxDev, 0.95) (−100% would zero the
+// element): a bracket grows geometrically from 0.01 and Brent refines it
+// to tol. +Inf when no side crosses. h(0) is evaluated once and the
+// bracket ends are handed on to Brent, so h never runs twice at one δ.
+func SmallestCrossing(h func(float64) float64, maxDev, tol float64) float64 {
+	h0 := h(0)
+	best := math.Inf(1)
+	for _, sign := range []float64{1, -1} {
+		limit := maxDev
+		if sign < 0 && limit > 0.95 {
+			limit = 0.95
+		}
+		g := func(mag float64) float64 { return h(sign * mag) }
+		a, b, fa, fb, err := expandBracket(g, 0, 0.01, h0, limit)
+		if err != nil {
+			continue
+		}
+		if x, err := brent(g, a, b, fa, fb, tol); err == nil && x < best {
+			best = x
+		}
+	}
+	return best
 }

@@ -116,9 +116,9 @@ func TestGoldenMaxAsymmetric(t *testing.T) {
 func TestExpandBracket(t *testing.T) {
 	// Crossing at x = 37; start with a tiny interval.
 	f := func(x float64) float64 { return x - 37 }
-	a, b, err := ExpandBracket(f, 0, 1, 1000)
+	a, b, _, _, err := expandBracket(f, 0, 1, f(0), 1000)
 	if err != nil {
-		t.Fatalf("ExpandBracket: %v", err)
+		t.Fatalf("expandBracket: %v", err)
 	}
 	if !(f(a) <= 0 && f(b) >= 0) {
 		t.Errorf("interval [%g, %g] does not bracket the root", a, b)
@@ -131,14 +131,14 @@ func TestExpandBracket(t *testing.T) {
 
 func TestExpandBracketLimit(t *testing.T) {
 	f := func(x float64) float64 { return 1 + x } // never crosses for x>0
-	if _, _, err := ExpandBracket(f, 0, 1, 50); err != ErrNoBracket {
+	if _, _, _, _, err := expandBracket(f, 0, 1, f(0), 50); err != ErrNoBracket {
 		t.Errorf("err = %v, want ErrNoBracket", err)
 	}
 }
 
 func TestExpandBracketBadInterval(t *testing.T) {
 	f := func(x float64) float64 { return x }
-	if _, _, err := ExpandBracket(f, 1, 1, 10); err == nil {
+	if _, _, _, _, err := expandBracket(f, 1, 1, f(1), 10); err == nil {
 		t.Error("expected error for hi <= lo")
 	}
 }

@@ -53,15 +53,18 @@ func (e Event) Attr(key string) string {
 }
 
 // EventLog is a bounded ring of events. Appends are one short critical
-// section over a preallocated buffer — no allocation, no clock reads —
-// so per-work-item logging stays cheap next to the work itself (the hot
-// per-BDD-op paths use counters, never events). When the ring is full
-// the oldest events are overwritten and counted as dropped, so always-on
-// event logging cannot grow without limit.
+// section with no clock reads, so per-work-item logging stays cheap next
+// to the work itself (the hot per-BDD-op paths use counters, never
+// events). The buffer starts small and doubles as events arrive, up to
+// the ring's capacity, so an idle collector holds almost nothing; only a
+// doubling allocates. When the ring is full the oldest events are
+// overwritten and counted as dropped, so always-on event logging cannot
+// grow without limit.
 type EventLog struct {
 	mu    sync.Mutex
 	buf   []Event
-	next  int   // next write slot
+	max   int   // capacity: len(buf) never exceeds it
+	next  int   // next write slot once the ring is full
 	total int64 // events ever appended
 }
 
@@ -69,18 +72,25 @@ type EventLog struct {
 // with WithMaxEvents.
 const DefaultMaxEvents = 16384
 
+// initialEvents is the buffer size an event ring starts at.
+const initialEvents = 64
+
 // newEventLog returns a ring holding at most capacity events (a
 // non-positive capacity falls back to DefaultMaxEvents).
 func newEventLog(capacity int) *EventLog {
 	if capacity <= 0 {
 		capacity = DefaultMaxEvents
 	}
-	return &EventLog{buf: make([]Event, 0, capacity)}
+	return &EventLog{buf: make([]Event, 0, min(capacity, initialEvents)), max: capacity}
 }
 
-// append stores one event, overwriting the oldest when full.
+// append stores one event, doubling the buffer when it is full but below
+// capacity, and overwriting the oldest event once it is at capacity.
 func (l *EventLog) append(e Event) {
 	l.mu.Lock()
+	if len(l.buf) == cap(l.buf) && len(l.buf) < l.max {
+		l.buf = append(make([]Event, 0, min(2*len(l.buf), l.max)), l.buf...)
+	}
 	if len(l.buf) < cap(l.buf) {
 		l.buf = append(l.buf, e)
 	} else {
@@ -138,12 +148,8 @@ func (l *EventLog) seq() int64 {
 	return l.total
 }
 
-// capacity returns the ring's fixed capacity.
-func (l *EventLog) capacity() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return cap(l.buf)
-}
+// capacity returns the most events the ring retains.
+func (l *EventLog) capacity() int { return l.max }
 
 // Event records an instant event stamped now. No-op on a nil collector.
 func (c *Collector) Event(kind, name string, attrs ...Attr) {

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"fmt"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -62,6 +64,56 @@ func TestEventRingOverwritesOldest(t *testing.T) {
 	s := c.Snapshot()
 	if len(s.Events) != 4 || s.EventsDropped != 6 {
 		t.Errorf("snapshot events = %d dropped = %d, want 4/6", len(s.Events), s.EventsDropped)
+	}
+}
+
+// TestEventRingGrowsToCapacity fills a ring whose capacity is not a
+// doubling of the initial buffer: the buffer doubles through every size
+// to the capacity, no event is lost while it grows, and once full the
+// ring wraps, drops and resumes exactly as a preallocated one.
+func TestEventRingGrowsToCapacity(t *testing.T) {
+	const max = 1000
+	c := NewCollector(WithMaxEvents(max))
+	l := c.events
+	if got := cap(l.buf); got != initialEvents {
+		t.Fatalf("initial buffer = %d, want %d", got, initialEvents)
+	}
+	var sizes []int
+	for i := int64(0); i < 2*max+7; i++ {
+		c.Event("k", "e", Int("i", i))
+		if n := cap(l.buf); len(sizes) == 0 || sizes[len(sizes)-1] != n {
+			sizes = append(sizes, n)
+		}
+		if l.capacity() != max {
+			t.Fatalf("capacity() = %d after %d events, want %d", l.capacity(), i+1, max)
+		}
+		if i < max {
+			if evs := c.Events(); int64(len(evs)) != i+1 || evs[0].Attr("i") != "0" || c.EventsDropped() != 0 {
+				t.Fatalf("after %d events: %d retained, first i:%s, %d dropped", i+1, len(evs), evs[0].Attr("i"), c.EventsDropped())
+			}
+		}
+	}
+	if want := []int{64, 128, 256, 512, max}; fmt.Sprint(sizes) != fmt.Sprint(want) {
+		t.Errorf("buffer sizes = %v, want %v", sizes, want)
+	}
+	evs := c.Events()
+	if len(evs) != max || c.EventsDropped() != max+7 {
+		t.Fatalf("retained %d, dropped %d; want %d, %d", len(evs), c.EventsDropped(), max, max+7)
+	}
+	for j, ev := range evs {
+		if want := strconv.Itoa(max + 7 + j); ev.Attr("i") != want {
+			t.Fatalf("event %d = i:%s, want i:%s", j, ev.Attr("i"), want)
+		}
+	}
+	since, first := c.EventsSince(3)
+	if first != max+7 || len(since) != max || since[0].Attr("i") != strconv.Itoa(max+7) {
+		t.Errorf("EventsSince(3) = %d events from %d, want %d from %d", len(since), first, max, max+7)
+	}
+	if since, first = c.EventsSince(2*max + 5); first != 2*max+5 || len(since) != 2 {
+		t.Errorf("EventsSince(%d) = %d events from %d, want 2", 2*max+5, len(since), first)
+	}
+	if child := c.NewChild("w"); child.events.capacity() != max || cap(child.events.buf) != initialEvents {
+		t.Errorf("child ring: capacity %d, buffer %d; want %d, %d", child.events.capacity(), cap(child.events.buf), max, initialEvents)
 	}
 }
 
