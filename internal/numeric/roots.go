@@ -48,6 +48,8 @@ func Bisect(f func(float64) float64, lo, hi, tol float64) (float64, error) {
 // quadratic interpolation with bisection fallback). It converges much
 // faster than plain bisection on the smooth deviation curves produced by
 // the analog sensitivity engine.
+// f must return the same value for the same argument: a step that lands
+// back on the current best point reuses its value.
 func Brent(f func(float64) float64, lo, hi, tol float64) (float64, error) {
 	return brent(f, lo, hi, f(lo), f(hi), tol)
 }
