@@ -6,8 +6,8 @@
 //	tables -table table4       # one experiment
 //	tables -list               # list experiment ids
 //
-// Experiment ids: eq1, fig3, fig6, table3, table4, table5, table6,
-// table7, table8.
+// Experiment ids: ablation, eq1, extda, fig3, fig6, figures, table3,
+// table4, table5, table6, table7, table8.
 package main
 
 import (

@@ -4,7 +4,7 @@
 // The tables follow the classic CUDD/BuDDy layout. The unique table is
 // exact: every node carries a chain link, and a power-of-two array of
 // bucket heads indexes the node arena. The computed table (the memo of
-// ITE, Restrict and Exists) is direct-mapped and lossy: a colliding
+// ITE, Cofactor and Exists) is direct-mapped and lossy: a colliding
 // store overwrites its slot. It grows with the unique table up to a
 // fixed cap, so a manager's memory is its node arena plus a constant.
 // Because nodes are never freed, an evicted result is recomputed through
@@ -65,7 +65,7 @@ type cacheEntry struct {
 const (
 	opITE uint32 = iota
 	opExists
-	opRestrict
+	opCofactor
 )
 
 const (
@@ -155,7 +155,7 @@ type metrics struct {
 //	bdd.unique.hit / bdd.unique.miss    unique-table (hash-cons) lookups
 //	bdd.ite.hit / bdd.ite.miss          ITE computed-table lookups
 //	bdd.exists.hit / bdd.exists.miss    Exists computed-table lookups
-//	bdd.restrict.hit / bdd.restrict.miss  Restrict/Compose computed-table lookups
+//	bdd.restrict.hit / bdd.restrict.miss  Cofactor computed-table lookups (also via Restrict/Compose/Exists)
 //	bdd.nodes.alloc                     decision nodes allocated
 //	bdd.limit.trips                     LimitError guard trips
 //	bdd.budget.trips                    per-work-item node-budget trips
@@ -513,67 +513,108 @@ func (m *Manager) OrN(fs ...Ref) Ref {
 	return acc
 }
 
-// Restrict returns f with the named variable fixed to val.
-func (m *Manager) Restrict(f Ref, name string, val bool) Ref {
-	l, ok := m.varIdx[name]
-	if !ok {
-		return f
+// Cofactor returns f restricted by every literal of cube, a conjunction
+// of literals such as x ∧ ¬y ∧ z: each variable of the cube is
+// fixed to the value its literal requires, in one pass over f. True is
+// the empty cube and returns f. Cofactor panics when cube is False or
+// not a cube (some node of it has two non-False children).
+func (m *Manager) Cofactor(f, cube Ref) Ref {
+	for c := cube; c != True; c = m.cubeNext(c) {
+		if n := m.nodes[c]; c == False || (n.lo != False && n.hi != False) {
+			//lint:allow nopanic API misuse: the argument must be a cube of literals
+			panic(fmt.Sprintf("bdd: Cofactor: %d is not a cube of literals", cube))
+		}
 	}
-	return m.restrictLevel(f, int32(l), val)
+	return m.cofactor(f, cube)
 }
 
-func (m *Manager) restrictLevel(f Ref, level int32, val bool) Ref {
-	if IsConst(f) || m.level(f) > level {
-		return f
+// cubeNext returns the rest of cube c below its top literal.
+func (m *Manager) cubeNext(c Ref) Ref {
+	n := m.nodes[c]
+	if n.lo != False {
+		return n.lo
 	}
-	// The op tag keeps a level-as-Ref key apart from node keys.
-	sel := Constant(val)
-	if r, ok := m.cacheLookup(opRestrict, f, Ref(level), sel); ok {
+	return n.hi
+}
+
+// cofactor is Cofactor on a cube already known to be well formed.
+func (m *Manager) cofactor(f, c Ref) Ref {
+	// Drop the cube's literals above f's top variable, and follow f
+	// down through the ones on it: neither builds a node.
+	for {
+		if IsConst(f) || c == True {
+			return f
+		}
+		fn, cn := m.nodes[f], m.nodes[c]
+		if cn.level > fn.level {
+			break
+		}
+		if cn.level == fn.level {
+			if cn.lo == False {
+				f = fn.hi
+			} else {
+				f = fn.lo
+			}
+		}
+		c = m.cubeNext(c)
+	}
+	if r, ok := m.cacheLookup(opCofactor, f, c, False); ok {
 		m.met.restrictHit.Inc()
 		return r
 	}
 	m.met.restrictMiss.Inc()
 	n := m.nodes[f]
-	var r Ref
-	if n.level == level {
-		if val {
-			r = n.hi
-		} else {
-			r = n.lo
-		}
-	} else {
-		r = m.mk(n.level,
-			m.restrictLevel(n.lo, level, val),
-			m.restrictLevel(n.hi, level, val))
-	}
-	m.cacheStore(opRestrict, f, Ref(level), sel, r)
+	r := m.mk(n.level, m.cofactor(n.lo, c), m.cofactor(n.hi, c))
+	m.cacheStore(opCofactor, f, c, False, r)
 	return r
+}
+
+// literal returns the one-literal cube that fixes the named variable to
+// val, and false if the variable is not declared.
+func (m *Manager) literal(name string, val bool) (Ref, bool) {
+	l, ok := m.varIdx[name]
+	if !ok {
+		return False, false
+	}
+	if val {
+		return m.mk(int32(l), False, True), true
+	}
+	return m.mk(int32(l), True, False), true
+}
+
+// Restrict returns f with the named variable fixed to val.
+func (m *Manager) Restrict(f Ref, name string, val bool) Ref {
+	c, ok := m.literal(name, val)
+	if !ok {
+		return f
+	}
+	return m.cofactor(f, c)
 }
 
 // Compose substitutes g for the named variable inside f.
 func (m *Manager) Compose(f Ref, name string, g Ref) Ref {
-	l, ok := m.varIdx[name]
+	pos, ok := m.literal(name, true)
 	if !ok {
 		return f
 	}
-	hi := m.restrictLevel(f, int32(l), true)
-	lo := m.restrictLevel(f, int32(l), false)
-	return m.ITE(g, hi, lo)
+	neg, _ := m.literal(name, false)
+	return m.ITE(g, m.cofactor(f, pos), m.cofactor(f, neg))
 }
 
 // Exists existentially quantifies the named variable out of f.
 func (m *Manager) Exists(f Ref, name string) Ref {
-	l, ok := m.varIdx[name]
+	pos, ok := m.literal(name, true)
 	if !ok {
 		return f
 	}
-	if r, ok := m.cacheLookup(opExists, f, Ref(l), False); ok {
+	if r, ok := m.cacheLookup(opExists, f, pos, False); ok {
 		m.met.existsHit.Inc()
 		return r
 	}
 	m.met.existsMiss.Inc()
-	r := m.Or(m.restrictLevel(f, int32(l), false), m.restrictLevel(f, int32(l), true))
-	m.cacheStore(opExists, f, Ref(l), False, r)
+	neg, _ := m.literal(name, false)
+	r := m.Or(m.cofactor(f, neg), m.cofactor(f, pos))
+	m.cacheStore(opExists, f, pos, False, r)
 	return r
 }
 

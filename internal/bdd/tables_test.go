@@ -13,9 +13,9 @@ func shrinkCache(m *Manager) {
 	m.cacheMax = 1
 }
 
-// randomOps replays one seeded sequence of ITE, Restrict, Compose and
-// Exists calls on m over a pool that starts with the variables, and
-// returns every result in order.
+// randomOps replays one seeded sequence of ITE, Restrict, Compose,
+// Exists and Cofactor calls on m over a pool that starts with the
+// variables, and returns every result in order.
 func randomOps(m *Manager, seed int64, nvars, steps int) []Ref {
 	r := rand.New(rand.NewSource(seed))
 	names := make([]string, nvars)
@@ -28,15 +28,18 @@ func randomOps(m *Manager, seed int64, nvars, steps int) []Ref {
 	var out []Ref
 	for i := 0; i < steps; i++ {
 		var f Ref
-		switch r.Intn(4) {
+		switch r.Intn(5) {
 		case 0:
 			f = m.ITE(pick(), pick(), pick())
 		case 1:
 			f = m.Restrict(pick(), names[r.Intn(nvars)], r.Intn(2) == 1)
 		case 2:
 			f = m.Compose(pick(), names[r.Intn(nvars)], pick())
-		default:
+		case 3:
 			f = m.Exists(pick(), names[r.Intn(nvars)])
+		default:
+			cube, _ := randomCube(m, r, names)
+			f = m.Cofactor(pick(), cube)
 		}
 		out = append(out, f)
 		pool = append(pool, f)

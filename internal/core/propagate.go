@@ -59,41 +59,27 @@ type PropResult struct {
 // returned vector satisfies ∂F/∂D = 1 on the first such output, exactly
 // the paper's procedure ("a test vector is generated by simply choosing a
 // path in the OBDD leading to D").
+//
+// D is last in the order, so each substituted output is
+// F = ITE(D, F|D=1, F|D=0), and both cofactors are the good function
+// restricted by a cube of constants: F depends on D iff they differ, and
+// ∂F/∂D is their XOR.
 func (p *Propagator) Propagate(pattern []waveform.Composite) (PropResult, bool, error) {
-	if len(pattern) != len(p.mx.Binding) {
-		return PropResult{}, false, fmt.Errorf("core: pattern of %d values for %d comparators",
-			len(pattern), len(p.mx.Binding))
+	cube0, cube1, err := p.cubes(pattern)
+	if err != nil {
+		return PropResult{}, false, err
 	}
 	m := p.gen.Manager()
-	sub := make(map[string]bdd.Ref, len(p.mx.Binding))
-	for k, name := range p.mx.Binding {
-		switch pattern[k] {
-		case waveform.Zero:
-			sub[name] = bdd.False
-		case waveform.One:
-			sub[name] = bdd.True
-		case waveform.D:
-			sub[name] = p.d
-		case waveform.DBar:
-			sub[name] = m.Not(p.d)
-		}
-	}
 	var res PropResult
 	allDiff := bdd.False
 	for _, o := range p.mx.Digital.Outputs() {
 		f := p.gen.GoodFunction(o)
-		// Compose in binding order: map order would make the
-		// intermediate nodes, and so the node counters, vary per run.
-		for _, name := range p.mx.Binding {
-			if g, ok := sub[name]; ok {
-				f = m.Compose(f, name, g)
-			}
-		}
-		if !m.DependsOn(f, DVar) {
+		f0, f1 := m.Cofactor(f, cube0), m.Cofactor(f, cube1)
+		if f0 == f1 {
 			continue
 		}
 		res.Outputs = append(res.Outputs, p.mx.Digital.Signal(o).Name)
-		allDiff = m.Or(allDiff, m.BooleanDifference(f, DVar))
+		allDiff = m.Or(allDiff, m.Xor(f0, f1))
 	}
 	if len(res.Outputs) == 0 {
 		return PropResult{}, false, nil
@@ -111,6 +97,29 @@ func (p *Propagator) Propagate(pattern []waveform.Composite) (PropResult, bool, 
 	}
 	res.Vector = vec
 	return res, true, nil
+}
+
+// cubes returns the constant cubes a pattern puts on the bound lines
+// when D=0 and when D=1: a Zero or One line takes its constant in both,
+// a D line takes D's value and a D̄ line the opposite one.
+func (p *Propagator) cubes(pattern []waveform.Composite) (cube0, cube1 bdd.Ref, err error) {
+	if len(pattern) != len(p.mx.Binding) {
+		return bdd.False, bdd.False, fmt.Errorf("core: pattern of %d values for %d comparators",
+			len(pattern), len(p.mx.Binding))
+	}
+	m := p.gen.Manager()
+	literal := func(name string, val bool) bdd.Ref {
+		if val {
+			return m.Var(name)
+		}
+		return m.NVar(name)
+	}
+	cube0, cube1 = bdd.True, bdd.True
+	for k, name := range p.mx.Binding {
+		cube0 = m.And(cube0, literal(name, pattern[k].FaultyValue()))
+		cube1 = m.And(cube1, literal(name, pattern[k].GoodValue()))
+	}
+	return cube0, cube1, nil
 }
 
 // ComparatorPattern builds the background pattern for a single toggling
@@ -133,29 +142,19 @@ func ComparatorPattern(n, target int, v waveform.Composite) []waveform.Composite
 }
 
 // OutputOBDDs returns the named outputs' OBDDs after substituting the
-// pattern, for rendering Figure 6-style diagrams.
+// pattern, ITE(D, F|D=1, F|D=0) each, for rendering Figure 6-style
+// diagrams.
 func (p *Propagator) OutputOBDDs(pattern []waveform.Composite) (names []string, roots []bdd.Ref, err error) {
-	if len(pattern) != len(p.mx.Binding) {
-		return nil, nil, fmt.Errorf("core: pattern of %d values for %d comparators",
-			len(pattern), len(p.mx.Binding))
+	cube0, cube1, err := p.cubes(pattern)
+	if err != nil {
+		return nil, nil, err
 	}
 	m := p.gen.Manager()
 	for _, o := range p.mx.Digital.Outputs() {
 		f := p.gen.GoodFunction(o)
-		for k, name := range p.mx.Binding {
-			switch pattern[k] {
-			case waveform.Zero:
-				f = m.Compose(f, name, bdd.False)
-			case waveform.One:
-				f = m.Compose(f, name, bdd.True)
-			case waveform.D:
-				f = m.Compose(f, name, p.d)
-			case waveform.DBar:
-				f = m.Compose(f, name, m.Not(p.d))
-			}
-		}
+		f0, f1 := m.Cofactor(f, cube0), m.Cofactor(f, cube1)
 		names = append(names, p.mx.Digital.Signal(o).Name)
-		roots = append(roots, f)
+		roots = append(roots, m.ITE(p.d, f1, f0))
 	}
 	return names, roots, nil
 }

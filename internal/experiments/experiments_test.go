@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -8,7 +9,8 @@ import (
 	"repro/internal/analog"
 )
 
-// run is a test helper executing one experiment once.
+// run is a test helper executing one experiment once. It also checks
+// that the payload encodes as JSON, as `tables -json` needs.
 func run(t *testing.T, id string) *Result {
 	t.Helper()
 	res, err := Run(id)
@@ -17,6 +19,9 @@ func run(t *testing.T, id string) *Result {
 	}
 	if res.ID != id || res.Text == "" || res.Data == nil {
 		t.Fatalf("Run(%s): incomplete result %+v", id, res)
+	}
+	if _, err := json.Marshal(res.Data); err != nil {
+		t.Fatalf("Run(%s): payload does not encode as JSON: %v", id, err)
 	}
 	return res
 }
